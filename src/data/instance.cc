@@ -1,6 +1,7 @@
 #include "data/instance.h"
 
 #include <algorithm>
+#include <mutex>
 #include <sstream>
 
 #include "base/check.h"
@@ -10,15 +11,23 @@ namespace vqdr {
 namespace {
 
 // Shared empty relations per arity, so Get() can return a reference for
-// unpopulated symbols without mutating the instance.
+// unpopulated symbols without mutating the instance. Instances are read from
+// many threads at once, so the common arities come from a table built once
+// (a function-local static, whose initialisation is thread-safe) and read
+// without a lock; only wider arities take the mutex.
+constexpr int kTabledArities = 64;
+
 const Relation& EmptyRelationOfArity(int arity) {
-  static const auto* cache = new std::map<int, Relation>();
-  auto* mutable_cache = const_cast<std::map<int, Relation>*>(cache);
-  auto it = mutable_cache->find(arity);
-  if (it == mutable_cache->end()) {
-    it = mutable_cache->emplace(arity, Relation(arity)).first;
-  }
-  return it->second;
+  static const auto* table = [] {
+    auto* t = new std::vector<Relation>();
+    for (int a = 0; a < kTabledArities; ++a) t->emplace_back(a);
+    return t;
+  }();
+  if (arity < kTabledArities) return (*table)[arity];
+  static std::mutex wide_mutex;
+  static auto* wide = new std::map<int, Relation>();  // guarded by wide_mutex
+  std::lock_guard<std::mutex> lock(wide_mutex);
+  return wide->try_emplace(arity, arity).first->second;
 }
 
 }  // namespace

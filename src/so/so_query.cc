@@ -1,6 +1,6 @@
 #include "so/so_query.h"
 
-#include <cmath>
+#include <algorithm>
 #include <functional>
 #include <sstream>
 
@@ -31,6 +31,14 @@ std::vector<Tuple> AllTuples(const std::vector<Value>& universe, int arity) {
   };
   rec(0);
   return result;
+}
+
+std::vector<std::string> DistinctNames(const std::vector<std::string>& names) {
+  std::vector<std::string> out;
+  for (const std::string& v : names) {
+    if (std::find(out.begin(), out.end(), v) == out.end()) out.push_back(v);
+  }
+  return out;
 }
 
 }  // namespace
@@ -77,36 +85,66 @@ StatusOr<Relation> EvaluateSo(const SoQuery& q, const Instance& db,
     pools.push_back(std::move(pool));
   }
 
-  // Extended schema: base plus quantified relations.
-  Schema extended = db.schema();
+  // The matrix reads the base relations of `db` and, for each quantified
+  // symbol, the current member of `assignment`.
+  const std::vector<std::string> names = DistinctNames(q.matrix.free_vars);
+  CompiledFo matrix(q.matrix.formula, names);
+  std::vector<const Relation*> relations = matrix.Resolve(db);
+  std::vector<Relation> assignment;
   for (const RelationDecl& decl : q.relation_vars) {
-    extended.Add(decl.name, decl.arity);
+    assignment.emplace_back(decl.arity);
   }
-
-  // Enumerate assignments of free variables over the universe; for each,
-  // search (∃) or verify (∀) over all relation assignments.
-  Relation result(q.head_arity());
-
-  // Checks the matrix truth over all relation assignments.
-  auto decide = [&](const std::map<std::string, Value>& binding) -> bool {
-    Instance extended_db(extended);
-    for (const RelationDecl& d : db.schema().decls()) {
-      extended_db.Set(d.name, db.Get(d.name));
+  for (std::size_t k = 0; k < relations.size(); ++k) {
+    const RelationDecl& symbol = matrix.symbols()[k];
+    for (std::size_t i = 0; i < q.relation_vars.size(); ++i) {
+      if (q.relation_vars[i].name != symbol.name) continue;
+      relations[k] = q.relation_vars[i].arity == symbol.arity ? &assignment[i]
+                                                              : nullptr;
     }
+  }
+  FoWork work;
+
+  // The matrix's quantifiers range over the adom of `db` with the guessed
+  // relations in place, plus the matrix's constants. That is the universe
+  // unless a quantified symbol shadows a base relation holding values no
+  // other relation has; only then does the range follow the assignment.
+  auto shadowed = [&](const std::string& name, std::size_t after) {
+    for (std::size_t j = after; j < q.relation_vars.size(); ++j) {
+      if (q.relation_vars[j].name == name) return true;
+    }
+    return false;
+  };
+  std::set<Value> base = q.matrix.formula->Constants();
+  for (const RelationDecl& d : db.schema().decls()) {
+    if (!shadowed(d.name, 0)) db.Get(d.name).CollectActiveDomain(base);
+  }
+  std::vector<Value> range = universe;
+  auto assignment_range = [&] {
+    std::set<Value> values = base;
+    for (std::size_t i = 0; i < assignment.size(); ++i) {
+      if (!shadowed(q.relation_vars[i].name, i + 1)) {
+        assignment[i].CollectActiveDomain(values);
+      }
+    }
+    range.assign(values.begin(), values.end());
+  };
+
+  // Checks the matrix truth over all relation assignments: some (∃) or
+  // every (∀) assignment must satisfy it.
+  auto decide = [&](const std::vector<Value>& args) -> bool {
     std::function<bool(std::size_t)> rec = [&](std::size_t i) -> bool {
       if (i == pools.size()) {
-        bool holds = EvalFo(q.matrix.formula, extended_db, binding);
-        return q.existential ? holds : holds;
+        if (base.size() < universe.size()) assignment_range();
+        return matrix.Holds(relations, range, args, work);
       }
       const std::vector<Tuple>& pool = pools[i];
-      const std::string& name = q.relation_vars[i].name;
       std::uint64_t subsets = 1ull << pool.size();
       for (std::uint64_t mask = 0; mask < subsets; ++mask) {
-        Relation rel(q.relation_vars[i].arity);
+        std::vector<Tuple> chosen;
         for (std::size_t t = 0; t < pool.size(); ++t) {
-          if (mask & (1ull << t)) rel.Insert(pool[t]);
+          if (mask & (1ull << t)) chosen.push_back(pool[t]);
         }
-        extended_db.Set(name, std::move(rel));
+        assignment[i] = Relation(q.relation_vars[i].arity, std::move(chosen));
         bool sub = rec(i + 1);
         if (q.existential && sub) return true;
         if (!q.existential && !sub) return false;
@@ -116,31 +154,32 @@ StatusOr<Relation> EvaluateSo(const SoQuery& q, const Instance& db,
     return rec(0);
   };
 
+  // Enumerate assignments of the distinct free variables over the universe;
+  // a repeated head variable fills every column it names.
+  Relation result(q.head_arity());
   if (q.head_arity() == 0) {
     if (decide({})) result.Insert(Tuple{});
-    return result;
-  }
-  if (universe.empty()) return result;
-
-  std::map<std::string, Value> binding;
-  std::function<void(std::size_t)> loop = [&](std::size_t i) {
-    if (i == q.matrix.free_vars.size()) {
-      if (decide(binding)) {
+  } else if (!universe.empty()) {
+    std::vector<Value> args(names.size());
+    std::function<void(std::size_t)> loop = [&](std::size_t i) {
+      if (i == names.size()) {
+        if (!decide(args)) return;
         Tuple answer;
         for (const std::string& v : q.matrix.free_vars) {
-          answer.push_back(binding.at(v));
+          auto at = std::find(names.begin(), names.end(), v) - names.begin();
+          answer.push_back(args[at]);
         }
         result.Insert(answer);
+        return;
       }
-      return;
-    }
-    for (Value v : universe) {
-      binding[q.matrix.free_vars[i]] = v;
-      loop(i + 1);
-    }
-    binding.erase(q.matrix.free_vars[i]);
-  };
-  loop(0);
+      for (Value v : universe) {
+        args[i] = v;
+        loop(i + 1);
+      }
+    };
+    loop(0);
+  }
+  work.Publish();
   return result;
 }
 
