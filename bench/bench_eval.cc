@@ -88,7 +88,27 @@ void BM_EvalDatalogTc(benchmark::State& state) {
     benchmark::DoNotOptimize(program.Query(d, "T"));
   }
 }
-BENCHMARK(BM_EvalDatalogTc)->Arg(8)->Arg(16)->Arg(32)
+BENCHMARK(BM_EvalDatalogTc)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_EvalDatalogUnreachable(benchmark::State& state) {
+  // Stratified negation: the nodes not reachable from node 1, the
+  // complement of a recursive predicate computed one stratum below.
+  NamePool pool;
+  DatalogProgram program =
+      ParseDatalog("Reach(x) :- S(x); Reach(y) :- Reach(x), E(x, y);"
+                   "Node(x) :- E(x, y); Node(y) :- E(x, y);"
+                   "Unreach(x) :- Node(x), not Reach(x)",
+                   pool)
+          .value();
+  Instance d(Schema{{"E", 2}, {"S", 1}});
+  d.Set("E", Graph(static_cast<int>(state.range(0))).Get("E"));
+  d.AddFact("S", MakeTuple({1}));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(program.Query(d, "Unreach"));
+  }
+}
+BENCHMARK(BM_EvalDatalogUnreachable)->Arg(32)->Arg(128)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_EvalExistsSo(benchmark::State& state) {

@@ -48,7 +48,8 @@ class DatalogProgram {
 
   /// Evaluates the program on `edb` by stratified semi-naïve fixpoint and
   /// returns the instance extended with all IDB relations. Fails if the
-  /// program is unsafe or not stratified.
+  /// program is unsafe or not stratified, or if a predicate is used with
+  /// two arities (within the program or against `edb`'s schema).
   StatusOr<Instance> Evaluate(const Instance& edb) const;
 
   /// Convenience: evaluates and returns a single IDB relation.
@@ -66,6 +67,8 @@ class DatalogProgram {
 ///
 ///   T(x, y) :- E(x, y);
 ///   T(x, y) :- E(x, z), T(z, y)
+///
+/// Fails if a predicate is used with two arities.
 StatusOr<DatalogProgram> ParseDatalog(std::string_view text, NamePool& pool);
 
 }  // namespace vqdr

@@ -6,6 +6,7 @@
 #include "cq/parser.h"
 #include "datalog/program.h"
 #include "fo/parser.h"
+#include "obs/metrics.h"
 #include "so/so_query.h"
 #include "views/query.h"
 
@@ -175,6 +176,99 @@ TEST_F(SoDatalogFixture, DatalogRejectsUnsafeRule) {
   ASSERT_TRUE(program.ok());
   Schema schema{{"E", 2}};
   EXPECT_FALSE(program->Evaluate(Instance(schema)).ok());
+}
+
+TEST_F(SoDatalogFixture, DatalogArityConflictInProgramIsAnError) {
+  // A predicate used with two arities is an error from both entry points,
+  // naming the predicate and both arities; it must not abort.
+  auto parsed = ParseDatalog("T(x) :- E(x, y); S(x) :- E(x)", pool_);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("E used with arity 2 and arity 1"),
+            std::string::npos)
+      << parsed.status().message();
+
+  DatalogProgram program;
+  DatalogRule binary;
+  binary.head = Atom("T", {Term::Var("x")});
+  binary.positive = {Atom("E", {Term::Var("x"), Term::Var("y")})};
+  DatalogRule unary;
+  unary.head = Atom("S", {Term::Var("x")});
+  unary.positive = {Atom("E", {Term::Var("x")})};
+  program.AddRule(binary);
+  program.AddRule(unary);
+  auto result = program.Evaluate(Instance(Schema{{"F", 1}}));
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("E used with arity 2 and arity 1"),
+            std::string::npos)
+      << result.status().message();
+}
+
+TEST_F(SoDatalogFixture, DatalogArityConflictWithEdbIsAnError) {
+  auto program = ParseDatalog("T(x) :- E(x)", pool_);
+  ASSERT_TRUE(program.ok());
+  Instance d = Db("E(a, b)", Schema{{"E", 2}});
+  auto result = program->Evaluate(d);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("E used with arity 2 and arity 1"),
+            std::string::npos)
+      << result.status().message();
+  EXPECT_FALSE(program->Query(d, "T").ok());
+
+  // An IDB predicate the instance declares with another arity, too.
+  auto head = ParseDatalog("E(x) :- F(x)", pool_);
+  ASSERT_TRUE(head.ok());
+  EXPECT_FALSE(head->Evaluate(d).ok());
+}
+
+TEST_F(SoDatalogFixture, DatalogDeepNegationChainEvaluates) {
+  // P0 :- not P1, P1 :- not P2, ..., listed so that each pass of the
+  // stratum computation settles one more level: 1,002 strata take 1,002
+  // passes, more than a fixed cap of 1,000 would allow.
+  constexpr int kLevels = 1001;
+  std::string text;
+  for (int i = 0; i < kLevels; ++i) {
+    text += "P" + std::to_string(i) + "(x) :- E(x, x), not P" +
+            std::to_string(i + 1) + "(x);";
+  }
+  text += "P" + std::to_string(kLevels) + "(x) :- E(x, x)";
+  auto program = ParseDatalog(text, pool_);
+  ASSERT_TRUE(program.ok()) << program.status().message();
+  Instance d = Db("E(a, a)", Schema{{"E", 2}});
+  auto result = program->Evaluate(d);
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  // P_kLevels holds a; the levels below alternate.
+  for (int i = kLevels; i >= kLevels - 3; --i) {
+    bool holds = (kLevels - i) % 2 == 0;
+    EXPECT_EQ(result->Get("P" + std::to_string(i)).size(), holds ? 1u : 0u);
+  }
+  EXPECT_EQ(result->Get("P0").size(), kLevels % 2 == 0 ? 1u : 0u);
+}
+
+TEST_F(SoDatalogFixture, DatalogWorkCountersOnPathClosure) {
+  // TC of the path a -> b -> c -> d. Round 1 (naive) derives the 3 edges;
+  // the delta rounds then derive ac and bd, then ad, then nothing, each
+  // derivation joining a new T fact with the edge into its source.
+  auto program = ParseDatalog(
+      "T(x, y) :- E(x, y); T(x, y) :- E(x, z), T(z, y)", pool_);
+  ASSERT_TRUE(program.ok());
+  Instance d = Db("E(a, b), E(b, c), E(c, d)", Schema{{"E", 2}});
+  obs::Counter& calls = obs::GetCounter("datalog.eval.calls");
+  obs::Counter& rounds = obs::GetCounter("datalog.eval.rounds");
+  obs::Counter& derivations = obs::GetCounter("datalog.eval.derivations");
+  std::uint64_t calls0 = calls.value(), rounds0 = rounds.value(),
+                derivations0 = derivations.value();
+  auto t = program->Query(d, "T");
+  ASSERT_TRUE(t.ok());
+  EXPECT_EQ(t->size(), 6u);
+#ifndef VQDR_OBS_DISABLED
+  EXPECT_EQ(calls.value() - calls0, 1u);
+  EXPECT_EQ(rounds.value() - rounds0, 4u);
+  EXPECT_EQ(derivations.value() - derivations0, 6u);
+#else
+  EXPECT_EQ(calls.value() - calls0, 0u);
+  EXPECT_EQ(rounds.value() - rounds0, 0u);
+  EXPECT_EQ(derivations.value() - derivations0, 0u);
+#endif
 }
 
 TEST_F(SoDatalogFixture, DatalogSameGenerationProgram) {
