@@ -1,13 +1,11 @@
 // Guard-seam overhead benchmark: the governance checkpoints must be free
 // when no budget is attached and near-free with an unlimited one. Each hot
-// path runs three ways — ungoverned (nullptr budget, what a -DVQDR_GUARD=OFF
-// build also measures since the stub inlines to nothing), with an unlimited
-// Budget (a relaxed fetch_add per checkpoint, a clock read every
-// kClockStride steps), and the raw legacy entry point where one exists.
-// The overhead budget, like the obs seam's, is <= 2%: compare the
-// `*_unbudgeted` variants of this file's BENCH_guard_overhead.json between
-// a default build and a -DVQDR_GUARD=OFF build (the `guard_enabled` counter
-// on every benchmark says which build produced the file).
+// path runs two ways in this one binary: the `*Unbudgeted` rows pass a null
+// Budget* (each checkpoint is one null test) and the `*UnlimitedBudget` rows
+// attach a Budget with no limits (a relaxed fetch_add per checkpoint, a
+// clock read every kClockStride steps, never trips). The overhead budget,
+// like the obs seam's, is <= 2%: compare each `*UnlimitedBudget` row of
+// BENCH_guard_overhead.json with its `*Unbudgeted` twin.
 //
 // Workloads mirror the substrate benches: the finite counterexample search
 // (tightest checkpoint loop — one per instance plus one per matcher node),
@@ -27,12 +25,6 @@
 namespace vqdr {
 namespace {
 
-#ifndef VQDR_GUARD_DISABLED
-constexpr double kGuardEnabled = 1.0;
-#else
-constexpr double kGuardEnabled = 0.0;
-#endif
-
 // --- finite counterexample search ------------------------------------------
 
 void BM_SearchUnbudgeted(benchmark::State& state) {
@@ -46,7 +38,6 @@ void BM_SearchUnbudgeted(benchmark::State& state) {
     benchmark::DoNotOptimize(
         SearchDeterminacyCounterexample(views, q, schema, options));
   }
-  state.counters["guard_enabled"] = kGuardEnabled;
 }
 BENCHMARK(BM_SearchUnbudgeted)->DenseRange(2, 3)
     ->Unit(benchmark::kMicrosecond);
@@ -64,7 +55,6 @@ void BM_SearchUnlimitedBudget(benchmark::State& state) {
     benchmark::DoNotOptimize(
         SearchDeterminacyCounterexample(views, q, schema, options));
   }
-  state.counters["guard_enabled"] = kGuardEnabled;
 }
 BENCHMARK(BM_SearchUnlimitedBudget)->DenseRange(2, 3)
     ->Unit(benchmark::kMicrosecond);
@@ -86,7 +76,6 @@ void BM_ContainmentUnbudgeted(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(CqContainedInGoverned(q1, q2, options));
   }
-  state.counters["guard_enabled"] = kGuardEnabled;
 }
 BENCHMARK(BM_ContainmentUnbudgeted)->DenseRange(3, 5)
     ->Unit(benchmark::kMicrosecond);
@@ -102,7 +91,6 @@ void BM_ContainmentUnlimitedBudget(benchmark::State& state) {
     options.budget = &budget;
     benchmark::DoNotOptimize(CqContainedInGoverned(q1, q2, options));
   }
-  state.counters["guard_enabled"] = kGuardEnabled;
 }
 BENCHMARK(BM_ContainmentUnlimitedBudget)->DenseRange(3, 5)
     ->Unit(benchmark::kMicrosecond);
@@ -119,7 +107,6 @@ void BM_ChaseChainUnbudgeted(benchmark::State& state) {
     options.levels = levels;
     benchmark::DoNotOptimize(BuildChaseChain(views, q, options, factory));
   }
-  state.counters["guard_enabled"] = kGuardEnabled;
 }
 BENCHMARK(BM_ChaseChainUnbudgeted)->DenseRange(1, 3)
     ->Unit(benchmark::kMicrosecond);
@@ -136,7 +123,6 @@ void BM_ChaseChainUnlimitedBudget(benchmark::State& state) {
     options.budget = &budget;
     benchmark::DoNotOptimize(BuildChaseChain(views, q, options, factory));
   }
-  state.counters["guard_enabled"] = kGuardEnabled;
 }
 BENCHMARK(BM_ChaseChainUnlimitedBudget)->DenseRange(1, 3)
     ->Unit(benchmark::kMicrosecond);

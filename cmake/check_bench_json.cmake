@@ -1,8 +1,6 @@
 # Validates a BENCH_<name>.json produced by bench/bench_json.h: it must
 # parse, name the bench, carry a wall time, and report >= MIN_OBS_COUNTERS
-# obs counters (default 3; the bench fixtures pass 0 for -DVQDR_OBS=OFF
-# builds, where the macro layer is compiled out and an empty obs block is
-# the correct output).
+# obs counters (default 3).
 # Usage: cmake -DJSON_FILE=path/to/BENCH_x.json -P check_bench_json.cmake
 #
 # Optionally pass -DREQUIRE_BENCH_COUNTERS=a,b,c (comma-separated): each

@@ -65,7 +65,8 @@ int main() {
                 << "  An adversary computes it as: "
                 << CqToString(*rewriting.rewriting, pool) << "\n";
     } else {
-      std::cout << "  Not determined in the unrestricted sense.\n";
+      std::cout << "  No CQ rewriting exists (the chase test fails); "
+                   "determinacy is unknown.\n";
       // Produce evidence: two worlds with equal published views but
       // different secret answers (bounded search; finite determinacy is
       // undecidable in general, Theorem 4.5).

@@ -15,11 +15,12 @@ namespace vqdr {
 /// Result of the unrestricted-case determinacy decision for CQ views and a
 /// CQ query (Theorems 3.3/3.7 of the paper).
 struct UnrestrictedDeterminacyResult {
-  /// Whether V ↠ Q over unrestricted (finite or infinite) instances.
-  /// Unrestricted determinacy implies finite determinacy, so a true answer
-  /// is also a sound finite-determinacy certificate; a false answer says
-  /// nothing about the finite case (their equivalence for CQs is the
-  /// paper's central open problem, Theorem 5.11).
+  /// Whether the chase test x̄ ∈ Q(V⁻¹(V([Q]))) succeeds, i.e. whether Q has
+  /// an equivalent CQ rewriting over V (equivalently, V determines Q
+  /// monotonically). A true answer is a sound certificate of determinacy on
+  /// all instances, finite or not. A false answer only says that no CQ
+  /// rewriting exists: V may still determine Q (CQ determinacy is
+  /// undecidable), so it is not a refutation.
   bool determined = false;
 
   /// S = V([Q]): the canonical view image — the frozen body of the
@@ -56,7 +57,7 @@ struct UnrestrictedDeterminacyResult {
 /// builds its own value factory, so equal inputs replay byte-identically —
 /// and only kComplete outcomes are ever installed. See DESIGN.md §9.
 ///
-/// `explain`, when non-null (and VQDR_OBS is compiled in), receives the
+/// `explain`, when non-null, receives the
 /// decision's provenance: a kDecision event carrying either the replayable
 /// homomorphism witnessing x̄ ∈ Q(D') (determined) or the chased-back D'
 /// that refutes it (not determined), plus kMemo events for cache probes.

@@ -12,11 +12,8 @@
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
-
-#ifndef VQDR_PAR_DISABLED
 #include "par/pool.h"
 #include "par/shard.h"
-#endif
 
 namespace vqdr {
 
@@ -26,12 +23,10 @@ namespace {
 // sparse enough that a callback-free run pays only the ticker branch.
 constexpr std::uint64_t kProgressStride = 1024;
 
-#ifndef VQDR_PAR_DISABLED
 // Budget-checkpoint cadence inside parallel workers: tighter than the
 // progress stride so deadlines and cancellation land promptly even when the
 // per-instance work is expensive.
 constexpr std::uint64_t kGovernStride = 128;
-#endif
 
 std::vector<Value> UniverseFor(const EnumerationOptions& options) {
   std::vector<Value> universe;
@@ -40,14 +35,9 @@ std::vector<Value> UniverseFor(const EnumerationOptions& options) {
 }
 
 int ResolveThreads(const EnumerationOptions& options) {
-#ifdef VQDR_PAR_DISABLED
-  (void)options;
-  return 1;
-#else
   int threads = options.threads;
   if (threads == 0) threads = par::DefaultThreads();
   return threads < 1 ? 1 : threads;
-#endif
 }
 
 DeterminacySearchResult SearchDeterminacyCounterexampleSerial(
@@ -118,8 +108,6 @@ DeterminacySearchResult SearchDeterminacyCounterexampleSerial(
   }
   return result;
 }
-
-#ifndef VQDR_PAR_DISABLED
 
 // Per-chunk grouping record: enough to reconstruct, at merge time, the first
 // conflict the serial sweep would have reported. For each view-image key a
@@ -285,8 +273,6 @@ DeterminacySearchResult SearchDeterminacyCounterexampleParallel(
   return result;
 }
 
-#endif  // VQDR_PAR_DISABLED
-
 MonotonicitySearchResult SearchMonotonicityViolationSerial(
     const ViewSet& views, const Query& q, const Schema& base,
     const EnumerationOptions& options) {
@@ -362,8 +348,6 @@ MonotonicitySearchResult SearchMonotonicityViolationSerial(
   }
   return result;
 }
-
-#ifndef VQDR_PAR_DISABLED
 
 MonotonicitySearchResult SearchMonotonicityViolationParallel(
     const ViewSet& views, const Query& q, const InstanceSpace& space,
@@ -536,8 +520,6 @@ MonotonicitySearchResult SearchMonotonicityViolationParallel(
   return result;
 }
 
-#endif  // VQDR_PAR_DISABLED
-
 // Provenance for a finished bounded search: the refuting pair itself on a
 // hit (both instances, replayable), a kNote stating what the silence means
 // otherwise. Recorded in the top-level wrappers so serial and parallel
@@ -580,7 +562,6 @@ DeterminacySearchResult SearchDeterminacyCounterexample(
   const int threads = ResolveThreads(options);
   DeterminacySearchResult result;
   bool computed = false;
-#ifndef VQDR_PAR_DISABLED
   if (threads > 1) {
     InstanceSpace space(base, UniverseFor(options));
     if (space.indexable()) {
@@ -591,7 +572,6 @@ DeterminacySearchResult SearchDeterminacyCounterexample(
     // Not indexable: the serial sweep's incremental bail-out semantics are
     // the only option.
   }
-#endif
   if (!computed) {
     result = SearchDeterminacyCounterexampleSerial(views, q, base, options);
   }
@@ -612,7 +592,6 @@ MonotonicitySearchResult SearchMonotonicityViolation(
   const int threads = ResolveThreads(options);
   MonotonicitySearchResult result;
   bool computed = false;
-#ifndef VQDR_PAR_DISABLED
   if (threads > 1) {
     InstanceSpace space(base, UniverseFor(options));
     if (space.indexable()) {
@@ -621,7 +600,6 @@ MonotonicitySearchResult SearchMonotonicityViolation(
       computed = true;
     }
   }
-#endif
   if (!computed) {
     result = SearchMonotonicityViolationSerial(views, q, base, options);
   }

@@ -27,12 +27,11 @@ std::string DeterminacyReport::Summary() const {
              "query (finite determinacy fails, hence also unrestricted).";
       break;
     case DeterminacyVerdict::kOpenWithinBound:
-      out << "OPEN within the search bound: not determined in the "
-             "unrestricted sense, and no finite counterexample with up to "
+      out << "OPEN within the search bound: no CQ rewriting exists (the "
+             "chase test fails), and no finite counterexample with up to "
              "the configured domain size"
           << (searches_exhaustive ? "" : " (search budget exhausted)")
-          << ". For CQs this is exactly the open territory of the paper's "
-             "Theorem 5.11.";
+          << ". Whether the views determine the query is unknown.";
       break;
   }
   if (!guard::IsComplete(outcome)) {

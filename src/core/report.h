@@ -23,9 +23,9 @@ enum class DeterminacyVerdict {
   kDeterminedWithRewriting,
   /// A finite counterexample pair was found — finite determinacy refuted.
   kRefuted,
-  /// Neither: not determined in the unrestricted sense and no finite
-  /// counterexample within the search bound. For CQs this is the open
-  /// territory of Theorem 5.11.
+  /// Neither: no CQ rewriting exists (the chase test fails) and no finite
+  /// counterexample was found within the search bound. Determinacy is
+  /// unknown: V may still determine Q through a rewriting that is not a CQ.
   kOpenWithinBound,
 };
 
@@ -45,7 +45,7 @@ struct DeterminacyAnalysisOptions {
   /// Collect decision provenance into DeterminacyReport::explain: the chase
   /// decision's witness or refuting inverse, every counterexample pair the
   /// searches surface, memo probes, and a closing note naming the verdict.
-  /// No-op (empty log) when VQDR_OBS is compiled out. See DESIGN.md §10.
+  /// See DESIGN.md §10.
   bool explain = false;
 };
 
@@ -82,11 +82,11 @@ struct DeterminacyReport {
 
   /// Memoization activity attributed to this analysis (the process-wide
   /// store's delta across the battery). All-zero when memoization is
-  /// disabled or compiled out.
+  /// disabled.
   memo::StatsSnapshot memo;
 
-  /// Decision provenance (populated when opts.explain was set and VQDR_OBS
-  /// is compiled in; empty otherwise). Serialize with explain.ToJson().
+  /// Decision provenance (populated when opts.explain was set; empty
+  /// otherwise). Serialize with explain.ToJson().
   obs::ExplainLog explain;
 
   /// One-paragraph human-readable summary, ending with "[metrics] ..." /

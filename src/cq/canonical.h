@@ -44,8 +44,8 @@ ConjunctiveQuery InstanceToQuery(const Instance& instance, const Tuple& head,
 /// Finds a homomorphism h from `from` to `to`: a value mapping with
 /// h(fact) ∈ to for every fact ∈ from, extending `fixed` and fixing every
 /// value in `constants`. Returns the full mapping (adom(from) → adom(to))
-/// or nullopt. `matcher` selects the homomorphism engine (DESIGN.md §12);
-/// the default routes through the process default.
+/// or nullopt. `matcher` carries the matcher's pruning toggles (DESIGN.md
+/// §12).
 std::optional<std::map<Value, Value>> FindInstanceHomomorphism(
     const Instance& from, const Instance& to,
     const std::map<Value, Value>& fixed = {},

@@ -3,34 +3,26 @@
 #include <atomic>
 #include <functional>
 #include <map>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "base/check.h"
 #include "cq/canonical.h"
 #include "cq/explain_bridge.h"
+#include "cq/fingerprint.h"
 #include "cq/matcher.h"
 #include "guard/fault.h"
+#include "memo/store.h"
 #include "obs/context.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-
-#ifndef VQDR_PAR_DISABLED
 #include "par/pool.h"
-#endif
-
-#ifndef VQDR_MEMO_DISABLED
-#include <optional>
-#include <string>
-
-#include "cq/fingerprint.h"
-#include "memo/store.h"
-#endif
 
 namespace vqdr {
 
 namespace {
 
-#ifndef VQDR_MEMO_DISABLED
 // Joins two canonical fingerprints into a containment key; nullopt (either
 // side has no fingerprint) means "bypass the cache". Sound because the
 // contained/not-contained verdict is invariant under isomorphism of either
@@ -41,7 +33,6 @@ std::optional<std::string> ContainmentKey(const char* tag,
   if (!k1.has_value() || !k2.has_value()) return std::nullopt;
   return std::string(tag) + "|" + *k1 + "|" + *k2;
 }
-#endif
 
 // Applies a term substitution (variables → terms) to a query.
 ConjunctiveQuery SubstituteTerms(const ConjunctiveQuery& q,
@@ -285,7 +276,6 @@ SweepOutcome SweepCanonicalDbs(
     return out;
   }
 
-#ifndef VQDR_PAR_DISABLED
   if (threads > 1) {
     const std::size_t batch_size =
         static_cast<std::size_t>(threads) * 16;
@@ -332,9 +322,6 @@ SweepOutcome SweepCanonicalDbs(
     out.all_passed = !witness_found.load(std::memory_order_relaxed);
     return out;
   }
-#else
-  (void)threads;
-#endif
 
   try {
     ForEachIdentificationPattern(
@@ -375,14 +362,10 @@ std::set<Value> UnionConstants(const ConjunctiveQuery& a,
 }
 
 // Maps the options' thread request to an effective worker count: 0 means
-// "ask the machine", and a disabled par subsystem always means serial.
+// "ask the machine".
 int ResolveThreads(const CqContainmentOptions& options) {
-#ifdef VQDR_PAR_DISABLED
-  return 1;
-#else
   if (options.threads == 0) return par::DefaultThreads();
   return options.threads < 1 ? 1 : options.threads;
-#endif
 }
 
 }  // namespace
@@ -424,7 +407,6 @@ bool CqContainedIn(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2,
         });
   };
 
-#ifndef VQDR_MEMO_DISABLED
   if (memo::ResolveUse(options.memo)) {
     VQDR_TRACE_SPAN("memo.containment");
     std::optional<std::string> key =
@@ -442,7 +424,6 @@ bool CqContainedIn(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2,
       return contained;
     }
   }
-#endif
   return compute();
 }
 
@@ -521,7 +502,6 @@ ContainmentResult CqContainedInGoverned(const ConjunctiveQuery& q1,
     return ResolveSweep(sweep, budget);
   };
 
-#ifndef VQDR_MEMO_DISABLED
   if (memo::ResolveUse(options.memo)) {
     VQDR_TRACE_SPAN("memo.containment");
     std::optional<std::string> key =
@@ -546,7 +526,6 @@ ContainmentResult CqContainedInGoverned(const ConjunctiveQuery& q1,
       return result;
     }
   }
-#endif
   return compute();
 }
 
@@ -600,7 +579,6 @@ bool UcqContainedIn(const UnionQuery& q1, const UnionQuery& q2,
     return true;
   };
 
-#ifndef VQDR_MEMO_DISABLED
   if (memo::ResolveUse(options.memo)) {
     VQDR_TRACE_SPAN("memo.containment.ucq");
     std::optional<std::string> key =
@@ -618,7 +596,6 @@ bool UcqContainedIn(const UnionQuery& q1, const UnionQuery& q2,
       return contained;
     }
   }
-#endif
   return compute();
 }
 
@@ -685,7 +662,6 @@ ContainmentResult UcqContainedInGoverned(const UnionQuery& q1,
     return result;
   };
 
-#ifndef VQDR_MEMO_DISABLED
   if (memo::ResolveUse(options.memo)) {
     VQDR_TRACE_SPAN("memo.containment.ucq");
     std::optional<std::string> key =
@@ -707,7 +683,6 @@ ContainmentResult UcqContainedInGoverned(const UnionQuery& q1,
       return result;
     }
   }
-#endif
   return compute();
 }
 

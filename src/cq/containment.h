@@ -36,14 +36,12 @@ struct CqContainmentOptions {
   /// non-containment count: they are definitive). See DESIGN.md §9.
   memo::MemoOptions memo;
 
-  /// Homomorphism-engine selection for every canonical-database check the
-  /// sweep performs (DESIGN.md §12). The default routes through the process
-  /// default engine; the differential battery pins kLegacy vs kIndexed here
-  /// to compare verdicts end to end.
+  /// Matcher pruning toggles for every canonical-database check the sweep
+  /// performs (DESIGN.md §12). Every setting yields the same verdicts.
   MatcherOptions matcher;
 
-  /// Optional decision-provenance sink (DESIGN.md §10). When non-null and
-  /// VQDR_OBS is compiled in, every pattern check appends an event: a
+  /// Optional decision-provenance sink (DESIGN.md §10). When non-null, every
+  /// pattern check appends an event: a
   /// kWitness with the replayable homomorphism when the pattern passed, a
   /// kRefutation carrying the canonical database when it failed, plus kMemo
   /// events for cache probes. Appends are internally synchronized, so

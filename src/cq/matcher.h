@@ -16,45 +16,11 @@ namespace vqdr {
 /// A variable assignment (a homomorphism from query variables to dom).
 using Binding = std::map<std::string, Value>;
 
-/// Which homomorphism-search engine ForEachMatch runs (DESIGN.md §12).
-///
-/// Both engines enumerate exactly the same homomorphisms in exactly the
-/// same order — the indexed engine only skips subtrees it can prove contain
-/// no match — so verdicts, witnesses, and first-found enumeration prefixes
-/// are byte-identical between them. The legacy engine is the pre-rewrite
-/// matcher, kept compilable behind -DVQDR_MATCHER_LEGACY=ON as the
-/// differential-testing oracle.
-enum class MatcherEngine {
-  /// Resolve to the process default at call time (build flag, then the
-  /// VQDR_MATCHER environment variable, then SetDefaultMatcherEngine).
-  kDefault,
-  /// Indexed join: per-relation argument-position indexes, bitset candidate
-  /// domains, forward checking, conflict-directed backjumping, and
-  /// WL-color-class symmetry breaking.
-  kIndexed,
-  /// The original naive backtracking matcher (scan every tuple of the
-  /// selected atom's relation at every node). Only callable when compiled
-  /// in (-DVQDR_MATCHER_LEGACY=ON); selecting it otherwise aborts.
-  kLegacy,
-};
-
-/// True if the legacy oracle is compiled into this binary.
-bool MatcherLegacyCompiled();
-
-/// The engine MatcherEngine::kDefault resolves to. Initialised once per
-/// process: VQDR_MATCHER=indexed|legacy when set (and compiled in),
-/// otherwise legacy under -DVQDR_MATCHER_LEGACY=ON builds (so the whole
-/// suite routes through the oracle there), otherwise indexed.
-MatcherEngine DefaultMatcherEngine();
-
-/// Overrides the process default (test seam). Returns the previous default.
-MatcherEngine SetDefaultMatcherEngine(MatcherEngine engine);
-
-/// Per-call knobs for the homomorphism search. The pruning toggles exist
-/// for differential testing and benchmarks; all of them are solution-set-
-/// and order-preserving, so flipping them never changes observable results.
+/// Per-call knobs for the homomorphism search (DESIGN.md §12). The pruning
+/// toggles exist for differential testing and benchmarks; all of them are
+/// solution-set- and order-preserving, so flipping them never changes
+/// observable results.
 struct MatcherOptions {
-  MatcherEngine engine = MatcherEngine::kDefault;
   /// Prune a candidate when some unmatched atom's candidate domain becomes
   /// empty under the extended binding.
   bool forward_checking = true;
@@ -85,8 +51,8 @@ bool ForEachMatch(const std::vector<Atom>& atoms, const Instance& db,
                   const std::function<bool(const Binding&)>& on_match,
                   guard::Budget* budget = nullptr);
 
-/// Engine-selecting overload; the default-argument form above routes here
-/// with MatcherOptions{}.
+/// Overload taking the pruning toggles; the default-argument form above
+/// routes here with MatcherOptions{}.
 bool ForEachMatch(const std::vector<Atom>& atoms, const Instance& db,
                   const Binding& initial,
                   const std::function<bool(const Binding&)>& on_match,

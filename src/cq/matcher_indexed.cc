@@ -18,9 +18,9 @@
 //
 // Every pruning rule above eliminates only subtrees that provably contain
 // zero homomorphisms, and atom selection replicates the legacy rule bit for
-// bit, so this engine delivers exactly the legacy engine's on_match sequence
-// — same homomorphisms, same order — which is what keeps verdicts and
-// witnesses byte-identical across the differential battery.
+// bit, so this engine delivers exactly the on_match sequence of the naive
+// matcher kept as the test oracle (tests/matcher_legacy.h) — same
+// homomorphisms, same order — which keeps verdicts and witnesses stable.
 
 #include <algorithm>
 #include <cstdint>

@@ -1,11 +1,6 @@
 #ifndef VQDR_MEMO_STORE_H_
 #define VQDR_MEMO_STORE_H_
 
-#ifdef VQDR_MEMO_DISABLED
-#error "memo/store.h must not be included when VQDR_MEMO is OFF; \
-include memo/memo.h and guard call sites with #ifndef VQDR_MEMO_DISABLED."
-#endif
-
 #include <atomic>
 #include <cstddef>
 #include <list>

@@ -1,7 +1,5 @@
 #include "obs/context.h"
 
-#ifndef VQDR_OBS_DISABLED
-
 #include "guard/budget.h"
 #include "obs/log.h"
 #include "obs/registry.h"
@@ -10,8 +8,6 @@
 namespace vqdr::obs {
 
 namespace internal {
-
-thread_local OpSlot* t_current_op = nullptr;
 
 void BindOpToThread(OpSlot* op) {
   t_current_op = op;
@@ -109,5 +105,3 @@ OpTaskScope::~OpTaskScope() {
 }
 
 }  // namespace vqdr::obs
-
-#endif  // VQDR_OBS_DISABLED

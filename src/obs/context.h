@@ -28,8 +28,6 @@
 // captures CurrentOpHandle() and runs the task under an OpTaskScope, so
 // work-stolen shards attribute to the operation that spawned them, not to
 // whichever worker happened to run them.
-//
-// Everything here compiles to empty inline stubs under -DVQDR_OBS=OFF.
 
 namespace vqdr::guard {
 class Budget;
@@ -82,8 +80,6 @@ inline const char* OpKindName(OpKind kind) {
 /// trace/profile normally; only the live stack view truncates).
 inline constexpr int kThreadStackDepth = 16;
 
-#ifndef VQDR_OBS_DISABLED
-
 namespace internal {
 
 /// The registry's record of one in-flight operation. Mutators are relaxed
@@ -128,7 +124,9 @@ struct ThreadSlot {
   std::array<std::atomic<const char*>, kThreadStackDepth> names{};
 };
 
-extern thread_local OpSlot* t_current_op;
+/// The operation the calling thread is bound to, or null. Defined inline,
+/// like t_op_cells, so accesses need no TLS-init wrapper.
+inline thread_local OpSlot* t_current_op = nullptr;
 
 /// The calling thread's slot, registering one on first use.
 ThreadSlot* EnsureThreadSlot();
@@ -212,36 +210,6 @@ class OpTaskScope {
   std::shared_ptr<internal::OpSlot> slot_;
   internal::OpSlot* prev_ = nullptr;
 };
-
-#else  // VQDR_OBS_DISABLED
-
-inline OpId CurrentOpId() { return 0; }
-inline void OpHeartbeat(std::uint64_t = 1) {}
-
-class OpScope {
- public:
-  OpScope(OpKind, const char*, vqdr::guard::Budget* = nullptr) {}
-  OpScope(OpKind, std::string, vqdr::guard::Budget* = nullptr) {}
-  OpScope(const OpScope&) = delete;
-  OpScope& operator=(const OpScope&) = delete;
-  OpId id() const { return 0; }
-};
-
-class OpHandle {
- public:
-  explicit operator bool() const { return false; }
-};
-
-inline OpHandle CurrentOpHandle() { return OpHandle{}; }
-
-class OpTaskScope {
- public:
-  explicit OpTaskScope(const OpHandle&) {}
-  OpTaskScope(const OpTaskScope&) = delete;
-  OpTaskScope& operator=(const OpTaskScope&) = delete;
-};
-
-#endif  // VQDR_OBS_DISABLED
 
 }  // namespace vqdr::obs
 

@@ -1,7 +1,5 @@
 #include "obs/log.h"
 
-#ifndef VQDR_OBS_DISABLED
-
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -239,5 +237,3 @@ LogRecord::~LogRecord() {
 }
 
 }  // namespace vqdr::obs
-
-#endif  // VQDR_OBS_DISABLED

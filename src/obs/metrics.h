@@ -21,9 +21,8 @@
 //   rewrite.*     rewriting synthesis and the LMSS-style reference rewriter
 //
 // Hot paths report through the VQDR_COUNTER_* / VQDR_HISTOGRAM_RECORD macros
-// (see obs/obs_macros.h), which compile to nothing under VQDR_OBS_DISABLED.
-// Code whose *results* depend on a tally (e.g. instances_examined fields)
-// uses the GetCounter API directly so the numbers survive a disabled build.
+// (see obs/obs_macros.h). Code whose *results* depend on a tally (e.g.
+// instances_examined fields) uses the GetCounter API directly.
 
 namespace vqdr::obs {
 
@@ -129,8 +128,9 @@ struct OpMetricCells {
 namespace internal {
 /// Cells of the operation the calling thread is currently bound to, or null.
 /// Managed exclusively by obs/context.h scopes; everyone else reads it
-/// implicitly through OpCounterAdd.
-extern thread_local OpMetricCells* t_op_cells;
+/// implicitly through OpCounterAdd. Defined inline, so every access is a
+/// plain TLS load with no dynamic-initialization wrapper.
+inline thread_local OpMetricCells* t_op_cells = nullptr;
 }  // namespace internal
 
 /// Mirrors `n` into the bound operation's cell for counter id `id` (no-op

@@ -1,7 +1,5 @@
 #include "obs/registry.h"
 
-#ifndef VQDR_OBS_DISABLED
-
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
@@ -455,5 +453,3 @@ void InitOpsDumpFromEnv() {
 }
 
 }  // namespace vqdr::obs
-
-#endif  // VQDR_OBS_DISABLED

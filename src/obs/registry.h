@@ -19,8 +19,6 @@
 //   - determinacy_tool --ops       renders the table after each scenario
 //   - VQDR_OPS_DUMP_MS=<n>         background thread dumps JSON to stderr
 //   - obs::Watchdog                embeds a snapshot in stall reports
-//
-// Compiled out with the rest of the obs layer under -DVQDR_OBS=OFF.
 
 namespace vqdr::obs {
 
@@ -55,8 +53,6 @@ struct ThreadStackSnapshot {
   OpId op_id = 0;
   std::vector<std::string> spans;  // outermost first
 };
-
-#ifndef VQDR_OBS_DISABLED
 
 /// All in-flight operations, ordered by id (registration order).
 std::vector<OpSnapshot> SnapshotOps();
@@ -114,27 +110,6 @@ void UnregisterOp(const std::shared_ptr<OpSlot>& op);
 /// Appends one op as a JSON object (shared with the watchdog's reports).
 void AppendOpJson(const OpSnapshot& op, std::string* out);
 }  // namespace internal
-
-#else  // VQDR_OBS_DISABLED
-
-inline std::vector<OpSnapshot> SnapshotOps() { return {}; }
-inline OpSnapshot SnapshotOp(OpId) { return {}; }
-inline std::vector<ThreadStackSnapshot> SnapshotThreadStacks() { return {}; }
-inline void SetKeepCompletedOps(std::size_t) {}
-inline std::vector<OpSnapshot> RecentCompletedOps() { return {}; }
-inline std::string OpsToJson(const std::vector<OpSnapshot>&,
-                             std::uint64_t = 0) {
-  return "[]";
-}
-inline std::string RenderOpsText(const std::vector<OpSnapshot>&) {
-  return "ops: (observability disabled)\n";
-}
-inline bool StartOpsDump(std::uint64_t) { return false; }
-inline void StopOpsDump() {}
-inline void InitOpsDumpFromEnv() {}
-inline std::uint64_t TelemetryNowUs() { return 0; }
-
-#endif  // VQDR_OBS_DISABLED
 
 }  // namespace vqdr::obs
 

@@ -1,7 +1,5 @@
 #include "obs/watchdog.h"
 
-#ifndef VQDR_OBS_DISABLED
-
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -243,5 +241,3 @@ void InitWatchdogFromEnv() {
 }
 
 }  // namespace vqdr::obs
-
-#endif  // VQDR_OBS_DISABLED

@@ -54,7 +54,6 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-#ifndef VQDR_OBS_DISABLED
   // Carry the submitter's operation context across the task boundary, so a
   // work-stolen chunk's spans, counters, heartbeats, and guard outcomes
   // attribute to the op that spawned it — not to the worker's previous op.
@@ -64,7 +63,6 @@ void ThreadPool::Submit(std::function<void()> task) {
       inner();
     };
   }
-#endif
   int target;
   if (t_worker.pool == this) {
     target = t_worker.index;  // owner's deque: LIFO for itself

@@ -12,6 +12,8 @@
 #include "cq/containment.h"
 #include "cq/matcher.h"
 #include "cq/parser.h"
+#include "fo/evaluator.h"
+#include "fo/parser.h"
 #include "gen/workloads.h"
 
 namespace vqdr {
@@ -274,6 +276,61 @@ TEST_F(DeterminacyFixture, MinimizedRewritingStillRewrites) {
                                   Schema{{"E", 2}}, options)
                     .valid);
   }
+}
+
+// --- Determined without a CQ rewriting ---
+//
+// V3 = path of length 3 and V4 = path of length 4 determine Q = path of
+// length 5 on every instance, through the FO rewriting
+//   Q(x, y) <-> exists z [V4(x, z) & forall u (V3(u, z) -> V4(u, y))]:
+// (=>) take z as the 4th node of the 5-path; (<=) take u as the 2nd node
+// of the 4-path from x to z. No CQ rewriting exists, so the chase test
+// rejects the pair; its verdict is deliberately not pinned here.
+
+class PathThreeFourFixture : public DeterminacyFixture {
+ protected:
+  ViewSet Views() {
+    return CqViews({"V3(x, y) :- E(x, a), E(a, b), E(b, y)",
+                    "V4(x, y) :- E(x, a), E(a, b), E(b, c), E(c, y)"});
+  }
+  ConjunctiveQuery Path5() {
+    return Cq("Q(x, y) :- E(x, a), E(a, b), E(b, c), E(c, d), E(d, y)");
+  }
+  FoQuery FoRewriting() {
+    auto r = ParseFoQuery(
+        "Q(x, y) := exists z. (V4(x, z) & forall u. (V3(u, z) -> V4(u, y)))",
+        pool_);
+    EXPECT_TRUE(r.ok()) << r.status().message();
+    return r.value();
+  }
+};
+
+TEST_F(PathThreeFourFixture, FoRewritingValidOnEveryInstanceUpToDomainFour) {
+  EnumerationOptions options;
+  options.domain_size = 4;
+  RewritingValidation validation =
+      ValidateRewriting(Views(), Query::FromCq(Path5()),
+                        Query::FromFo(FoRewriting()), Schema{{"E", 2}},
+                        options);
+  EXPECT_TRUE(validation.exhaustive);
+  EXPECT_TRUE(validation.valid)
+      << (validation.counterexample ? validation.counterexample->ToString()
+                                    : "");
+}
+
+TEST_F(PathThreeFourFixture, FoRewritingAnswersQueryOnRandomGraphImages) {
+  ViewSet views = Views();
+  ConjunctiveQuery q = Path5();
+  FoQuery r = FoRewriting();
+  int nonempty = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    int nodes = 6 + static_cast<int>(seed % 7);
+    Instance g = RandomGraph(nodes, nodes + static_cast<int>(seed % 11), seed);
+    Relation want = EvaluateCq(q, g);
+    EXPECT_EQ(EvaluateFo(r, views.Apply(g)), want) << "seed " << seed;
+    if (!want.empty()) ++nonempty;
+  }
+  EXPECT_GT(nonempty, 10);
 }
 
 // --- Golden verdict+witness fixtures (DESIGN.md §12) ---

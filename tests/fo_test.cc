@@ -128,13 +128,8 @@ TEST_F(FoFixture, GuardedPath2TakesNoRangeBindings) {
   Relation answer = EvaluateFo(q, g);
   EXPECT_EQ(answer, EvaluateCq(ChainQuery(2), g));
   EXPECT_EQ(range.value() - range0, 0u);
-#ifndef VQDR_OBS_DISABLED
   EXPECT_EQ(calls.value() - calls0, 1u);
   EXPECT_GT(bindings.value() - bindings0, 0u);
-#else
-  EXPECT_EQ(calls.value() - calls0, 0u);
-  EXPECT_EQ(bindings.value() - bindings0, 0u);
-#endif
 }
 
 TEST_F(FoFixture, ExistentialClassification) {

@@ -23,8 +23,6 @@
 namespace vqdr {
 namespace {
 
-#ifndef VQDR_OBS_DISABLED
-
 ConjunctiveQuery Cq(const std::string& text, NamePool& pool) {
   auto q = ParseCq(text, pool);
   EXPECT_TRUE(q.ok()) << q.status().message();
@@ -123,16 +121,12 @@ TEST(OpRegistry, BudgetStateIsVisibleWhileInFlight) {
   obs::OpScope op(obs::OpKind::kSearch, "test.budget", &budget);
   budget.Checkpoint(12);
   obs::OpSnapshot snap = obs::SnapshotOp(op.id());
-#ifndef VQDR_GUARD_DISABLED
   ASSERT_TRUE(snap.budget.present);
   EXPECT_EQ(snap.budget.steps, 12u);
   EXPECT_EQ(snap.budget.max_steps, 1000u);
   EXPECT_FALSE(snap.budget.stopped);
   // Checkpoints heartbeat the op through the guard observer seam.
   EXPECT_GE(snap.heartbeats, 12u);
-#else
-  EXPECT_TRUE(snap.budget.present);
-#endif
 }
 
 TEST(OpRegistry, CompletedOpsAreKeptWhenAsked) {
@@ -317,23 +311,6 @@ TEST(ObsLog, DisabledLevelIsFreeAndEmitsNothing) {
   obs::SetLogCapture(nullptr);
   EXPECT_TRUE(lines.empty());
 }
-
-#else  // VQDR_OBS_DISABLED
-
-// With the obs layer compiled out the whole surface is inert stubs; assert
-// the contract the engines rely on.
-TEST(LiveTelemetryDisabled, StubsAreInert) {
-  obs::OpScope op(obs::OpKind::kSearch, "test.disabled");
-  EXPECT_EQ(op.id(), 0u);
-  EXPECT_EQ(obs::CurrentOpId(), 0u);
-  EXPECT_FALSE(obs::CurrentOpHandle());
-  EXPECT_TRUE(obs::SnapshotOps().empty());
-  EXPECT_EQ(obs::OpsToJson({}), "[]");
-  EXPECT_FALSE(obs::LogEnabled(obs::LogLevel::kError));
-  obs::LogRecord(obs::LogLevel::kError, "test.noop").Num("x", 1);
-}
-
-#endif  // VQDR_OBS_DISABLED
 
 }  // namespace
 }  // namespace vqdr

@@ -274,8 +274,12 @@ TEST_P(SeededProperty2, CanonicalRewritingFreezesBackToViewImage) {
 // --- Homomorphism laws through the matcher seam (DESIGN.md §12) ---
 
 // Composition: a hom b : Q1 → [Q2] and a hom h : [Q2] → I compose to a hom
-// h∘b : Q1 → I. Checked two ways: atom-by-atom membership of the composed
-// image, and the matcher finding a hom Q1 → I on its own.
+// h∘b : Q1 → I. Both homs exist by construction: Q1 is a subset of Q2's
+// atoms with its variables renamed and some occurrences split apart (so
+// undoing the renaming maps it into [Q2]), and I is a value collapse of
+// [Q2] plus seeded noise (so the collapse maps [Q2] into it). Checked two
+// ways: atom-by-atom membership of the composed image, and the matcher
+// finding a hom Q1 → I on its own.
 TEST_P(SeededProperty2, HomomorphismCompositionLaw) {
   Rng rng(GetParam());
   RandomCqOptions options;
@@ -283,11 +287,22 @@ TEST_P(SeededProperty2, HomomorphismCompositionLaw) {
   options.max_atoms = 4;
   options.variable_pool = 3;
   ConjunctiveQuery q2 = RandomCq(rng, options);
-  // Draw Q1 smaller than Q2 so a hom Q1 -> [Q2] usually exists.
-  options.min_atoms = 1;
-  options.max_atoms = 2;
-  options.variable_pool = 2;
-  ConjunctiveQuery q1 = RandomCq(rng, options);
+
+  ConjunctiveQuery q1("Q1", {});
+  for (std::size_t k = 0; k < q2.atoms().size(); ++k) {
+    // Keep the first atom, every other one with probability 1/2.
+    if (k > 0 && rng.Chance(1, 2)) continue;
+    Atom atom = q2.atoms()[k];
+    for (std::size_t pos = 0; pos < atom.args.size(); ++pos) {
+      if (atom.args[pos].is_const()) continue;
+      std::string renamed = "u_" + atom.args[pos].var();
+      if (rng.Chance(1, 3)) {
+        renamed += "_" + std::to_string(k) + "_" + std::to_string(pos);
+      }
+      atom.args[pos] = Term::Var(renamed);
+    }
+    q1.AddAtom(std::move(atom));
+  }
 
   ValueFactory factory;
   FrozenQuery frozen = Freeze(q2, factory);
@@ -298,20 +313,23 @@ TEST_P(SeededProperty2, HomomorphismCompositionLaw) {
                  b = found;
                  return false;
                });
-  if (!b.has_value()) GTEST_SKIP() << "no hom Q1 -> [Q2]";
+  ASSERT_TRUE(b.has_value()) << "no hom " << q1.ToString() << " -> [Q2]";
 
-  // Dense target so a hom [Q2] -> I usually exists (tiny domain ⇒ most
-  // tuples present); retry a few densities before giving up.
-  std::optional<std::map<Value, Value>> h;
-  Instance i{frozen.instance.schema()};
-  for (int tuples = 8; tuples <= 32 && !h.has_value(); tuples *= 2) {
-    RandomInstanceOptions iopts;
-    iopts.domain_size = 2;
-    iopts.tuples_per_relation = tuples;
-    i = RandomInstance(frozen.instance.schema(), rng, iopts);
-    h = FindInstanceHomomorphism(frozen.instance, i);
+  // I: [Q2] with its values collapsed onto {1, 2}, plus noise tuples.
+  std::map<Value, Value> collapse;
+  for (Value v : frozen.instance.ActiveDomain()) {
+    collapse[v] = Value(rng.Range(1, 2));
   }
-  if (!h.has_value()) GTEST_SKIP() << "no hom [Q2] -> I";
+  RandomInstanceOptions iopts;
+  iopts.domain_size = 2;
+  iopts.tuples_per_relation = 2;
+  Instance i =
+      frozen.instance.Apply([&collapse](Value v) { return collapse.at(v); })
+          .UnionWith(
+              RandomInstance(frozen.instance.schema(), rng, iopts));
+  std::optional<std::map<Value, Value>> h =
+      FindInstanceHomomorphism(frozen.instance, i);
+  ASSERT_TRUE(h.has_value()) << "no hom [Q2] -> I, seed " << GetParam();
 
   for (const Atom& atom : q1.atoms()) {
     Tuple image;

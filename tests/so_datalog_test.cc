@@ -260,15 +260,9 @@ TEST_F(SoDatalogFixture, DatalogWorkCountersOnPathClosure) {
   auto t = program->Query(d, "T");
   ASSERT_TRUE(t.ok());
   EXPECT_EQ(t->size(), 6u);
-#ifndef VQDR_OBS_DISABLED
   EXPECT_EQ(calls.value() - calls0, 1u);
   EXPECT_EQ(rounds.value() - rounds0, 4u);
   EXPECT_EQ(derivations.value() - derivations0, 6u);
-#else
-  EXPECT_EQ(calls.value() - calls0, 0u);
-  EXPECT_EQ(rounds.value() - rounds0, 0u);
-  EXPECT_EQ(derivations.value() - derivations0, 0u);
-#endif
 }
 
 TEST_F(SoDatalogFixture, DatalogSameGenerationProgram) {

@@ -23,9 +23,6 @@
 namespace vqdr {
 namespace {
 
-#if !defined(VQDR_OBS_DISABLED) && !defined(VQDR_GUARD_DISABLED) && \
-    !defined(VQDR_GUARD_FAULTS_DISABLED)
-
 // Collects reports from the watchdog thread; install with Install(), always
 // paired with Reset() before the test ends.
 class ReportTrap {
@@ -229,18 +226,6 @@ TEST_F(WatchdogTest, StartIsIdempotentAndRejectsZeroThreshold) {
   obs::StopWatchdog();
   EXPECT_FALSE(obs::WatchdogRunning());
 }
-
-#else
-
-// Watchdog scenarios need obs + guard + fault injection compiled in; with
-// any of them off, assert the stubs stay inert.
-TEST(WatchdogDisabled, StubsAreInert) {
-  EXPECT_FALSE(obs::WatchdogRunning());
-  EXPECT_EQ(obs::WatchdogStallReports(), 0u);
-  obs::StopWatchdog();
-}
-
-#endif
 
 }  // namespace
 }  // namespace vqdr
